@@ -28,6 +28,7 @@ from repro.graph.io import save_edge_list
 from repro.jobs import GraphCatalog, JobEngine
 from repro.jobs.client import JobClient
 from repro.jobs.server import make_server
+from repro.pipeline import SCHEMA_VERSION
 
 SMALL = os.environ.get("REPRO_EXAMPLE_SCALE", "").lower() in ("small", "smoke", "ci")
 SCALE = 9 if SMALL else 12
@@ -89,7 +90,7 @@ def main() -> None:
             f"walks={len(walks)} edges={sum(c['n_edges'] for c in walks)}"
         )
         assert final["state"] == "DONE", final
-        assert doc["schema_version"] == 5 and doc["artifact"] == "job"
+        assert doc["schema_version"] == SCHEMA_VERSION and doc["artifact"] == "job"
 
     # 4) The amortization is visible in the catalog stats: the repeat
     #    circuit job reused the cached partition map.

@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .. import native
 from ..graph.io import atomic_write
 from ..pipeline.context import SCHEMA_VERSION, ExecutionReport, RunContext
 
@@ -110,6 +111,8 @@ def context_to_dict(ctx: RunContext) -> dict:
         }
     )
     out["graph"] = {"n_vertices": ctx.n_vertices, "n_edges": ctx.n_edges}
+    # Which implementation of each native-capable stage this process runs.
+    out["kernels"] = native.kernel_impls()
     out["circuit"] = {
         "n_edges": int(ctx.circuit.n_edges) if ctx.circuit is not None else 0,
         "verified": ctx.verified,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,6 +194,23 @@ class FragmentBatch:
         self.fragments.append(frag)
         self._by_fid[frag.fid] = frag
         return frag
+
+    def replay(self, fragments: list[Fragment],
+               by_fid: dict[int, Fragment]) -> None:
+        """Append the fragments of an identical earlier run, as they are.
+
+        Trusted bulk path for incremental repair: ``fragments`` were minted
+        by a batch with this batch's ``(pid, level)`` and the same inputs,
+        in order, so their structured fids are exactly the ones
+        :meth:`new_fragment` would assign here (``by_fid`` indexes them).
+        Fragments are never mutated once minted, so sharing them is safe.
+        """
+        if self.fragments:
+            raise ValueError("replay needs an empty batch")
+        if fragments and fragments[0].fid != self._fid_base:
+            raise ValueError("replayed fragments belong to another node")
+        self.fragments.extend(fragments)
+        self._by_fid.update(by_fid)
 
     def get(self, fid: int) -> Fragment:
         """Metadata lookup: batch-local fragments, else known prior paths."""
@@ -352,10 +369,14 @@ class FragmentStore:
             return
         # Write first, clear after: a concurrent spill writes identical
         # bytes (benign), and items_of never sees a cleared body without a
-        # complete file behind it.
+        # complete file behind it. The record is replaced, not mutated:
+        # fragments are immutable once minted, so a repair cache sharing
+        # this one keeps its body.
         np.save(self._spill_path(fid), items, allow_pickle=False)
         with self._lock:
-            frag.items = None
+            frag = self._frags[fid]
+            if frag.items is not None:
+                self._frags[fid] = replace(frag, items=None)
 
     def spill_level(self, level: int) -> int:
         """Spill every in-memory body created at ``level``; returns count.

@@ -24,13 +24,19 @@ Data plane: the live local edges arrive as an **EdgeTable** — one packed
 degrees as an ``int64 (r, 2)`` table (see :func:`edge_table` /
 :func:`remote_deg_table`, which also normalize the legacy tuple/dict forms).
 The adjacency build is fully vectorized over the table's columns (sorted
-vertex index, CSR half-edge offsets, next-unvisited pointers). The walk
-itself stays a Python loop — it is inherently sequential scalar chasing, and
-flat Python lists index faster than NumPy scalars there — but it emits only
-one packed integer per consumed edge (``edge_index << 1 | direction``); the
-run's ItemArrays are then *decoded from the EdgeTable columns in one batched
-vectorized gather per run* (each fragment's body is a view into the decoded
-block), so no per-edge Python tuples exist anywhere in the pipeline.
+vertex index, CSR half-edge offsets, per-slot transition tables), all kept
+as contiguous int64 arrays. The walk itself — all three stages, the
+``mergeInto`` pivot bookkeeping and the final attachment splice — runs in
+one call to the native kernel (``run_phase1`` in
+``repro/native/kernels.c``, see :mod:`repro.native`), which writes the
+spliced walks as one flat sequence of packed ``edge_index << 1 |
+direction`` values plus per-root kind/src/dst/length records. The Python
+walk (:func:`_walk_python`) produces exactly the same arrays; it is the
+oracle the kernel is tested against and the fallback when no C compiler is
+available. The run's ItemArrays are then *decoded from the EdgeTable
+columns in one batched vectorized gather per run* (each fragment's body is
+a view into the decoded block), so no per-edge Python tuples exist anywhere
+in the pipeline.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import native
 from ..errors import InvariantViolation
 from ..obs import ambient
 from .pathmap import ITEM_FRAG, KIND_CYCLE, KIND_PATH, FragmentStore, PathMap
@@ -112,17 +119,18 @@ def remote_deg_table(remote_degree) -> np.ndarray:
 class _WalkTables:
     """Immutable walk tables for one live-local-graph topology.
 
-    Everything the walk loop reads — CSR offsets, per-slot transition
-    tables, boundary classification — is a pure function of the EdgeTable's
+    Everything the walk reads — CSR offsets, per-slot transition tables,
+    boundary classification — is a pure function of the EdgeTable's
     ``(u, v)`` columns and the remote-degree table, so it can be shared
-    across runs. The walk mutates only its per-run ``ptr`` cursor copy and
-    ``visited`` bitmap; these tables are never written after construction.
+    across runs. All tables are contiguous int64 arrays (``is_ob`` is
+    uint8), the layout the native kernel reads in place; the walk mutates
+    only per-run cursors and a visited bitmap of its own.
     """
 
     __slots__ = (
-        "m", "dense", "size", "vert_l", "local_deg", "ptr0", "adj_end",
-        "slot_enc", "slot_dst", "slot_next", "eu_i", "bnd_ids", "bnd_deg",
-        "ob", "eb", "n_local", "n_internal",
+        "m", "dense", "size", "vert_ids", "local_deg", "ptr0", "adj_end",
+        "slot_enc", "slot_next", "eu_i", "bnd_ids", "bnd_deg", "ob", "eb",
+        "is_ob", "n_local", "n_internal",
     )
 
 
@@ -187,45 +195,42 @@ def _build_walk_tables(edges: np.ndarray, rdeg: np.ndarray) -> _WalkTables:
     np.cumsum(local_deg, out=offsets[1:])
 
     # Per-slot walk tables, fully precomputed: consuming sorted half-edge
-    # slot ``p`` appends ``slot_enc[p]`` (packed ``edge << 1 | forward``),
-    # emits global junction ``slot_dst[p]`` and moves to local vertex
-    # ``slot_next[p]``. The scalar walk then does nothing but indexed
-    # reads — no id lookups, no direction branch.
+    # slot ``p`` appends ``slot_enc[p]`` (packed ``edge << 1 | forward``)
+    # and moves to local vertex ``slot_next[p]``, whose global id is the
+    # emitted junction. The walk then does nothing but indexed reads — no
+    # id lookups, no direction branch.
     edge_of = order >> 1  # sorted slot -> edge index
     u_side = (order & 1) == 0
     eu_loc = half_vertex[0::2]
     ev_loc = half_vertex[1::2]
-    slot_next_arr = np.where(u_side, ev_loc[edge_of], eu_loc[edge_of])
 
     t = _WalkTables()
     t.m = m
     t.dense = dense
     t.size = size
+    t.vert_ids = vert_ids  # local index -> global id (None: identity)
     t.local_deg = local_deg
     t.bnd_ids = bnd_ids
     t.bnd_deg = bnd_deg
     # The packed value doubles as the visited key: edge index = enc >> 1.
-    t.slot_enc = np.where(u_side, (edge_of << 1) | 1, edge_of << 1).tolist()
-    t.slot_next = slot_next_arr.tolist()
-    t.slot_dst = (
-        t.slot_next if dense else vert_ids[slot_next_arr].tolist()
-    )
-    # Local index -> global id; a range in dense mode (identity, O(1)).
-    t.vert_l = range(size) if dense else vert_ids.tolist()
-    t.ptr0 = offsets[:-1].tolist()  # pristine next-unvisited cursors
-    t.adj_end = offsets[1:].tolist()
-    t.eu_i = eu_loc.tolist()  # per-edge local endpoint index (cycle starts)
+    t.slot_enc = np.where(u_side, (edge_of << 1) | 1, edge_of << 1)
+    t.slot_next = np.where(u_side, ev_loc[edge_of], eu_loc[edge_of])
+    t.ptr0 = offsets[:-1]  # pristine next-unvisited cursors
+    t.adj_end = offsets[1:]
+    t.eu_i = np.ascontiguousarray(eu_loc)  # per-edge start (cycle stage)
 
     is_boundary = np.zeros(size, dtype=bool)
     is_boundary[bnd_loc] = True
     odd_deg = (local_deg & 1).astype(bool)
+    is_ob = is_boundary & odd_deg
+    t.is_ob = is_ob.view(np.uint8)
     # Local indices, ascending — which is global-id order in both modes.
-    t.ob = np.flatnonzero(is_boundary & odd_deg).tolist()
-    t.eb = np.flatnonzero(is_boundary & ~odd_deg).tolist()
+    t.ob = np.flatnonzero(is_ob)
+    t.eb = np.flatnonzero(is_boundary & ~odd_deg)
     t.n_local = (
         int(np.count_nonzero((local_deg > 0) | is_boundary)) if dense else size
     )
-    t.n_internal = t.n_local - len(t.ob) - len(t.eb)
+    t.n_internal = t.n_local - int(t.ob.size) - int(t.eb.size)
     return t
 
 
@@ -344,27 +349,181 @@ def run_phase1(
     # when this topology was walked before (same partition across
     # supersteps, same graph across served jobs).
     t = _walk_tables(edges, rdeg)
-    m = t.m
-    dense, size = t.dense, t.size
-    vert_l = t.vert_l
-    local_deg = t.local_deg
-    bnd_ids, bnd_deg = t.bnd_ids, t.bnd_deg
-    slot_enc, slot_dst, slot_next = t.slot_enc, t.slot_dst, t.slot_next
-    adj_end = t.adj_end
-    eu_i = t.eu_i
-    ob, eb = t.ob, t.eb
+    n_ob, n_eb = int(t.ob.size), int(t.eb.size)
+    if validate and n_ob % 2 != 0:
+        raise InvariantViolation(
+            f"partition {pid} level {level}: odd number of OB vertices ({n_ob})"
+        )
 
+    walker = _walk_native if native.lib() is not None else _walk_python
+    w = walker(t, validate, pid, level)
     stats = Phase1Stats(
         n_live_vertices=t.n_local,
         n_internal=t.n_internal,
-        n_ob=len(ob),
-        n_eb=len(eb),
-        n_local_edges=m,
+        n_ob=n_ob,
+        n_eb=n_eb,
+        n_local_edges=t.m,
+        n_paths=w.n_paths,
+        n_eb_cycles=w.n_eb_cycles,
+        n_iv_cycles_merged=w.n_merged,
+        n_iv_cycles_anchored=w.n_anchored,
+        n_trivial=w.n_trivial,
     )
-    if validate and len(ob) % 2 != 0:
-        raise InvariantViolation(
-            f"partition {pid} level {level}: odd number of OB vertices ({len(ob)})"
+
+    # ---- decode ItemArrays, register fragments ----------------------------
+    # One *batched* vectorized decode for every fragment of the run: the
+    # flat walk sequence indexes the EdgeTable, whose kind column *is* the
+    # ItemArray tag column (EDGE_RAW == ITEM_EDGE, EDGE_COARSE ==
+    # ITEM_FRAG) and whose ref carries over unchanged; per-fragment bodies
+    # are then views into the one decoded block. This keeps the NumPy fixed
+    # cost per *run*, not per fragment — partitions routinely produce tens
+    # of thousands of tiny path fragments.
+    seq = w.enc
+    ks = seq >> 1
+    decoded = np.empty((seq.size, 4), dtype=np.int64)
+    decoded[:, 0] = edges[ks, 2]
+    decoded[:, 1] = edges[ks, 3]
+    decoded[:, 2] = w.dst
+    decoded[:, 3] = seq & 1
+    n_roots = int(w.lens.size)
+    bounds = np.zeros(n_roots + 1, dtype=np.int64)
+    np.cumsum(w.lens, out=bounds[1:])
+    # Raw-edge weights: every root is non-empty, so reduceat is safe; coarse
+    # items add their fragments' cached counts.
+    is_frag = decoded[:, 0] == ITEM_FRAG
+    n_frag_rows = (
+        np.add.reduceat(is_frag.astype(np.int64), bounds[:-1])
+        if n_roots
+        else np.empty(0, dtype=np.int64)
+    )
+    extra_edges = np.zeros(n_roots, dtype=np.int64)
+    frag_positions = np.flatnonzero(is_frag)
+    if frag_positions.size:
+        owners = np.searchsorted(bounds[1:], frag_positions, side="right")
+        get = store.get
+        weights = np.fromiter(
+            (get(ref).n_edges for ref in decoded[frag_positions, 1].tolist()),
+            dtype=np.int64, count=frag_positions.size,
         )
+        np.add.at(extra_edges, owners, weights)
+    n_edges_arr = w.lens - n_frag_rows + extra_edges
+
+    ob_rows: list[tuple[int, int, int]] = []
+    ob_edges: list[int] = []
+    anchored: list[int] = []
+    new_fragment = store.new_fragment
+    bounds_l = bounds.tolist()
+    for idx, (kind, src, dst, n_edges) in enumerate(zip(
+        w.kinds.tolist(), w.srcs.tolist(), w.dsts.tolist(),
+        n_edges_arr.tolist(),
+    )):
+        frag = new_fragment(
+            _KINDS[kind], level, pid, src, dst,
+            decoded[bounds_l[idx]:bounds_l[idx + 1]], n_edges,
+        )
+        if kind == _PATH:
+            ob_rows.append((src, dst, frag.fid))
+            ob_edges.append(n_edges)
+        else:
+            anchored.append(frag.fid)
+    pathmap = PathMap(pid=pid, level=level)
+    pathmap.ob_paths = np.array(ob_rows, dtype=np.int64).reshape(-1, 3)
+    pathmap.ob_path_edges = np.array(ob_edges, dtype=np.int64)
+    pathmap.anchored_cycles = np.array(anchored, dtype=np.int64)
+    pathmap.n_merged_cycles = stats.n_iv_cycles_merged
+    pathmap.n_trivial = stats.n_trivial
+    return pathmap, stats
+
+
+#: Root kinds as the walkers encode them (index into ``_KINDS``).
+_PATH, _CYCLE = 0, 1
+_KINDS = (KIND_PATH, KIND_CYCLE)
+
+
+@dataclass
+class _Walks:
+    """One run's walks: the flat spliced sequence plus per-root records.
+
+    ``enc`` holds packed ``edge << 1 | forward`` values and ``dst`` the
+    parallel global junction ids, root after root (``lens`` apart). Both
+    walkers produce exactly this, so they compare array for array.
+    """
+
+    enc: np.ndarray
+    dst: np.ndarray
+    kinds: np.ndarray
+    srcs: np.ndarray
+    dsts: np.ndarray
+    lens: np.ndarray
+    n_paths: int
+    n_eb_cycles: int
+    n_merged: int
+    n_anchored: int
+    n_trivial: int
+
+
+#: Lemma violations by kernel error code (kernels.c ``P1_ERR_*``); the
+#: oracle raises the same messages.
+_LEMMA_ERRORS = {
+    2: "Lemma 1 violated: path from OB {0} ended at non-OB {1}",
+    3: "Lemma 1 violated: path from OB {0} returned to its start",
+    4: "Lemma 2 violated: cycle from EB {0} ended at {1}",
+    5: "Lemma 2 violated: internal cycle from {0} ended at {1}",
+}
+
+
+def _walk_native(t: _WalkTables, validate: bool, pid: int, level: int) -> _Walks:
+    """The C kernel (``run_phase1`` in ``repro/native/kernels.c``)."""
+    m = t.m
+    out = np.empty((6, max(m, 1)), dtype=np.int64)
+    counts = np.zeros(6, dtype=np.int64)
+    info = np.zeros(9, dtype=np.int64)
+    a = native.addr
+    rc = native.lib().run_phase1(
+        m, t.size, a(t.slot_enc), a(t.slot_next), a(t.ptr0), a(t.adj_end),
+        a(t.eu_i), a(t.ob), t.ob.size, a(t.eb), t.eb.size,
+        None if t.vert_ids is None else a(t.vert_ids), a(t.is_ob),
+        int(validate), a(out[0]), a(out[1]), a(out[2]), a(out[3]), a(out[4]),
+        a(out[5]), a(counts), a(info),
+    )
+    if rc:
+        if rc in _LEMMA_ERRORS:
+            raise InvariantViolation(_LEMMA_ERRORS[rc].format(*info.tolist()))
+        if rc == 6:
+            raise InvariantViolation(
+                f"partition {pid} level {level}: Phase 1 left local edges "
+                "unvisited"
+            )
+        if rc == 7:
+            left = info[1:1 + int(info[0])].tolist()
+            raise InvariantViolation(
+                f"unspliced attachments remain at vertices {left}"
+            )
+        raise MemoryError("native Phase-1 kernel could not allocate")
+    n_roots = int(counts[0])
+    return _Walks(
+        enc=out[0, :m], dst=out[1, :m], kinds=out[2, :n_roots],
+        srcs=out[3, :n_roots], dsts=out[4, :n_roots], lens=out[5, :n_roots],
+        n_paths=int(counts[1]), n_eb_cycles=int(counts[2]),
+        n_merged=int(counts[3]), n_anchored=int(counts[4]),
+        n_trivial=int(counts[5]),
+    )
+
+
+def _walk_python(t: _WalkTables, validate: bool, pid: int, level: int) -> _Walks:
+    """The Python oracle: the same walks as the kernel, step for step.
+
+    Also the fallback when the native library cannot be built.
+    """
+    m, dense = t.m, t.dense
+    vert_l = range(t.size) if dense else t.vert_ids.tolist()
+    local_deg = t.local_deg
+    bnd_ids, bnd_deg = t.bnd_ids, t.bnd_deg
+    slot_enc = t.slot_enc.tolist()
+    slot_next = t.slot_next.tolist()
+    slot_dst = slot_next if dense else t.vert_ids[t.slot_next].tolist()
+    adj_end = t.adj_end.tolist()
+    eu_i = t.eu_i.tolist()
 
     def remote_deg_of(v: int) -> int:
         i = int(np.searchsorted(bnd_ids, v))
@@ -372,14 +531,10 @@ def run_phase1(
             return int(bnd_deg[i])
         return 0
 
-    # The walk is a per-edge scalar loop; flat Python lists index faster
-    # than NumPy scalars there, so the slot tables are materialized as
-    # lists in _WalkTables. Only the per-run mutable state is fresh here:
-    # ``ptr`` (each vertex's next-unvisited cursor into the flat slot
-    # sequence, copied from the pristine cached cursors) and the visited
-    # bitmap — the cached tables themselves are never written.
+    # Per-run mutable state: ``ptr`` (each vertex's next-unvisited cursor
+    # into the flat slot sequence) and the visited bitmap.
     visited = bytearray(m)
-    ptr = list(t.ptr0)
+    ptr = t.ptr0.tolist()
 
     def walk(
         start: int,
@@ -415,40 +570,22 @@ def run_phase1(
     # ---- root bookkeeping for mergeInto ----------------------------------
     # Each OB path / EB cycle / orphan internal cycle is a *root*; internal
     # cycles with a pivot attach to a root and are spliced in a final pass.
-    # A walk body is the pair of parallel lists (enc, dst). Junction
-    # ownership (vertex -> first owning root) is a flat list in dense mode,
-    # a dict keyed by global id otherwise; ``owner_get(v)`` returns -1 for
-    # unowned either way.
-    roots: list[dict] = []  # {kind, src, dst, enc, dsts}
+    # Junction ownership (vertex -> first owning root) is a dict keyed by
+    # global id; ``owner_get(v)`` returns -1 for unowned.
+    roots: list[tuple] = []  # (kind, src, dst, enc, dsts)
     attachments: list[dict[int, list[tuple[list, list]]]] = []
+    junction_owner: dict[int, int] = {}
+    owner_get = junction_owner.get
+    counts = {"paths": 0, "eb": 0, "merged": 0, "anchored": 0, "trivial": 0}
 
-    if dense:
-        owner_l = [-1] * size
-        owner_get = owner_l.__getitem__
+    def register(root_idx: int, src: int, dsts: list[int]) -> None:
+        junction_owner.setdefault(src, root_idx)
+        for dst in dsts:
+            junction_owner.setdefault(dst, root_idx)
 
-        def register(root_idx: int, src: int, dsts: list[int]) -> None:
-            if owner_l[src] < 0:
-                owner_l[src] = root_idx
-            for dst in dsts:
-                if owner_l[dst] < 0:
-                    owner_l[dst] = root_idx
-    else:
-        junction_owner: dict[int, int] = {}
-
-        def owner_get(v: int) -> int:
-            return junction_owner.get(v, -1)
-
-        def register(root_idx: int, src: int, dsts: list[int]) -> None:
-            if src not in junction_owner:
-                junction_owner[src] = root_idx
-            for dst in dsts:
-                if dst not in junction_owner:
-                    junction_owner[dst] = root_idx
-
-    def new_root(kind: str, src: int, dst: int, enc: list, dsts: list) -> None:
+    def new_root(kind: int, src: int, dst: int, enc: list, dsts: list) -> None:
         idx = len(roots)
-        roots.append({"kind": kind, "src": src, "dst": dst, "enc": enc,
-                      "dsts": dsts})
+        roots.append((kind, src, dst, enc, dsts))
         attachments.append({})
         register(idx, src, dsts)
 
@@ -458,7 +595,7 @@ def run_phase1(
     # unvisited edges left and yields an empty walk; an OB that *initiated*
     # may retain an even number of unvisited edges, which the internal-cycle
     # stage consumes (they can only form cycles once all parities are even).
-    for vi in ob:
+    for vi in t.ob.tolist():
         v = vert_l[vi]
         enc, dsts, end_i = walk(vi)
         if not enc:
@@ -466,29 +603,24 @@ def run_phase1(
         if validate:
             end = vert_l[end_i]
             if local_deg[end_i] % 2 == 0 or remote_deg_of(end) == 0:
-                raise InvariantViolation(
-                    f"Lemma 1 violated: path from OB {v} ended at non-OB {end}"
-                )
+                raise InvariantViolation(_LEMMA_ERRORS[2].format(v, end))
             if end_i == vi:
-                raise InvariantViolation(
-                    f"Lemma 1 violated: path from OB {v} returned to its start"
-                )
-        new_root(KIND_PATH, v, vert_l[end_i], enc, dsts)
-        stats.n_paths += 1
+                raise InvariantViolation(_LEMMA_ERRORS[3].format(v))
+        new_root(_PATH, v, vert_l[end_i], enc, dsts)
+        counts["paths"] += 1
 
     # ---- 2) EB cycles (lines 9-10) ----------------------------------------
-    for vi in eb:
+    for vi in t.eb.tolist():
         enc, dsts, end_i = walk(vi)
         if not enc:
-            stats.n_trivial += 1
+            counts["trivial"] += 1
             continue
         v = vert_l[vi]
         if validate and end_i != vi:
             raise InvariantViolation(
-                f"Lemma 2 violated: cycle from EB {v} ended at {vert_l[end_i]}"
-            )
-        new_root(KIND_CYCLE, v, v, enc, dsts)
-        stats.n_eb_cycles += 1
+                _LEMMA_ERRORS[4].format(v, vert_l[end_i]))
+        new_root(_CYCLE, v, v, enc, dsts)
+        counts["eb"] += 1
 
     # ---- 3) internal-vertex cycles (lines 11-13) ---------------------------
     # ``bytearray.find(0, k)`` skips visited runs at C speed.
@@ -499,105 +631,59 @@ def run_phase1(
         enc, dsts, end_i = walk(ui)
         if validate and end_i != ui:
             raise InvariantViolation(
-                f"Lemma 2 violated: internal cycle from {u} ended at "
-                f"{vert_l[end_i]}"
-            )
+                _LEMMA_ERRORS[5].format(u, vert_l[end_i]))
         # mergeInto: find a pivot junction shared with an existing root.
         pivot = None
-        pivot_root = owner_get(u)
+        pivot_root = owner_get(u, -1)
         if pivot_root >= 0:
             pivot = u
         else:
             for dst in dsts:
-                r = owner_get(dst)
+                r = owner_get(dst, -1)
                 if r >= 0:
                     pivot, pivot_root = dst, r
                     break
         if pivot is None:
             # Disconnected live local graph (generalization beyond the
             # paper's Lemma 3 assumption): keep as an anchored cycle.
-            new_root(KIND_CYCLE, u, u, enc, dsts)
-            stats.n_iv_cycles_anchored += 1
+            new_root(_CYCLE, u, u, enc, dsts)
+            counts["anchored"] += 1
         else:
             rot_enc, rot_dsts = _rotate_cycle(u, enc, dsts, pivot)
             attachments[pivot_root].setdefault(pivot, []).append(
                 (rot_enc, rot_dsts)
             )
             register(pivot_root, pivot, rot_dsts)
-            stats.n_iv_cycles_merged += 1
+            counts["merged"] += 1
         k = visited.find(0, k)
 
-    # ---- finalize: splice attachments, decode ItemArrays, register --------
-    # One *batched* vectorized decode for every fragment of the run: the
-    # packed walks concatenate into a single sequence, the EdgeTable's kind
-    # column *is* the ItemArray tag column (EDGE_RAW == ITEM_EDGE,
-    # EDGE_COARSE == ITEM_FRAG) and ref carries over unchanged; per-fragment
-    # bodies are then views into the one decoded block. This keeps the
-    # NumPy fixed cost per *run*, not per fragment — partitions routinely
-    # produce tens of thousands of tiny path fragments.
-    n_roots = len(roots)
-    flat_enc: list[int] = []
-    flat_dst: list[int] = []
-    lengths = np.empty(n_roots, dtype=np.int64)
-    for idx, root in enumerate(roots):
-        enc, dsts = _flatten(
-            root["src"], root["enc"], root["dsts"], attachments[idx]
-        )
-        lengths[idx] = len(enc)
-        flat_enc.extend(enc)
-        flat_dst.extend(dsts)
-    seq = np.array(flat_enc, dtype=np.int64)
-    ks = seq >> 1
-    decoded = np.empty((seq.size, 4), dtype=np.int64)
-    decoded[:, 0] = edges[ks, 2]
-    decoded[:, 1] = edges[ks, 3]
-    decoded[:, 2] = flat_dst
-    decoded[:, 3] = seq & 1
-    bounds = np.zeros(n_roots + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    # Raw-edge weights: every root is non-empty, so reduceat is safe; coarse
-    # items add their fragments' cached counts (few per run).
-    is_frag = decoded[:, 0] == ITEM_FRAG
-    n_frag_rows = (
-        np.add.reduceat(is_frag.astype(np.int64), bounds[:-1])
-        if n_roots
-        else np.empty(0, dtype=np.int64)
-    )
-    extra_edges = np.zeros(n_roots, dtype=np.int64)
-    frag_positions = np.flatnonzero(is_frag)
-    if frag_positions.size:
-        owners = np.searchsorted(bounds[1:], frag_positions, side="right")
-        frag_refs = decoded[frag_positions, 1]
-        for ridx, ref in zip(owners.tolist(), frag_refs.tolist()):
-            extra_edges[ridx] += store.get(ref).n_edges
-    n_edges_arr = lengths - n_frag_rows + extra_edges
-
-    ob_rows: list[tuple[int, int, int]] = []
-    ob_edges: list[int] = []
-    anchored: list[int] = []
-    pathmap = PathMap(pid=pid, level=level)
-    for idx, root in enumerate(roots):
-        items = decoded[bounds[idx]:bounds[idx + 1]]
-        n_edges = int(n_edges_arr[idx])
-        frag = store.new_fragment(
-            root["kind"], level, pid, root["src"], root["dst"], items, n_edges
-        )
-        if root["kind"] == KIND_PATH:
-            ob_rows.append((frag.src, frag.dst, frag.fid))
-            ob_edges.append(n_edges)
-        else:
-            anchored.append(frag.fid)
-    pathmap.ob_paths = np.array(ob_rows, dtype=np.int64).reshape(-1, 3)
-    pathmap.ob_path_edges = np.array(ob_edges, dtype=np.int64)
-    pathmap.anchored_cycles = np.array(anchored, dtype=np.int64)
-    pathmap.n_merged_cycles = stats.n_iv_cycles_merged
-    pathmap.n_trivial = stats.n_trivial
-
-    if validate and any(b == 0 for b in visited):
+    if validate and visited.count(0):
         raise InvariantViolation(
             f"partition {pid} level {level}: Phase 1 left local edges unvisited"
         )
-    return pathmap, stats
+
+    # ---- splice attachments into one flat walk per root -------------------
+    flat_enc: list[int] = []
+    flat_dst: list[int] = []
+    lens: list[int] = []
+    for idx, (_, src, _, enc, dsts) in enumerate(roots):
+        enc, dsts = _flatten(src, enc, dsts, attachments[idx])
+        lens.append(len(enc))
+        flat_enc.extend(enc)
+        flat_dst.extend(dsts)
+
+    def col(i: int) -> np.ndarray:
+        return np.array([r[i] for r in roots], dtype=np.int64)
+
+    return _Walks(
+        enc=np.array(flat_enc, dtype=np.int64),
+        dst=np.array(flat_dst, dtype=np.int64),
+        kinds=col(0), srcs=col(1), dsts=col(2),
+        lens=np.array(lens, dtype=np.int64),
+        n_paths=counts["paths"], n_eb_cycles=counts["eb"],
+        n_merged=counts["merged"], n_anchored=counts["anchored"],
+        n_trivial=counts["trivial"],
+    )
 
 
 def _rotate_cycle(

@@ -45,7 +45,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core.pathmap import ITEM_EDGE
+from ..core.pathmap import ITEM_EDGE, Fragment
 from ..core.phase1 import EDGE_RAW, remote_deg_table
 from ..graph.partition import PartitionedGraph
 from ..pipeline.program import SuperstepProgram
@@ -58,18 +58,52 @@ class _NodeCache:
     """Cached Phase-1 inputs + outputs for one (pid, level) node."""
 
     __slots__ = ("local_edges", "remote_deg", "known", "pathmap", "stats",
-                 "fragments")
+                 "fragments", "by_fid")
 
     def __init__(self, local_edges, remote_deg, known, pathmap, stats,
-                 fragments):
+                 fragments, by_fid):
         self.local_edges = local_edges
         self.remote_deg = remote_deg
         self.known = known
         self.pathmap = pathmap
         self.stats = stats
-        #: ``(kind, src, dst, items, n_edges)`` tuples in original append
-        #: order — replaying them mints identical fids.
+        #: The node's fragments in original append order — replaying them
+        #: mints identical fids. Shared, never copied: fragments are
+        #: immutable, and a remap builds new ones (:meth:`remap`).
         self.fragments = fragments
+        self.by_fid = by_fid
+
+    def remap(self, emap: np.ndarray) -> bool:
+        """Re-key into a delta's new eid space; False if a cached edge was
+        deleted (the node is then unusable).
+
+        The EdgeTable is the cache's own copy and is remapped in place.
+        Fragment bodies are shared with the runs that adopted them, so
+        they are remapped as one packed copy and the node gets new
+        fragment records whose bodies are views into it.
+        """
+        table = self.local_edges
+        raw = table[:, 2] == EDGE_RAW
+        refs = emap[table[raw, 3]]
+        if np.any(refs < 0):
+            return False
+        table[raw, 3] = refs
+        frags = self.fragments
+        if not frags:
+            return True
+        packed = np.concatenate([f.items for f in frags])
+        tagged = packed[:, 0] == ITEM_EDGE
+        packed[tagged, 1] = emap[packed[tagged, 1]]
+        bounds = np.zeros(len(frags) + 1, dtype=np.int64)
+        np.cumsum([f.items.shape[0] for f in frags], out=bounds[1:])
+        b = bounds.tolist()
+        self.fragments = [
+            Fragment(f.fid, f.kind, f.level, f.pid, f.src, f.dst,
+                     packed[b[i]:b[i + 1]], f.n_edges)
+            for i, f in enumerate(frags)
+        ]
+        self.by_fid = {f.fid: f for f in self.fragments}
+        return True
 
 
 class RepairProgram(SuperstepProgram):
@@ -220,20 +254,11 @@ class RepairSession:
             return dict(self.last_report)
 
     def _remap_cache(self, emap: np.ndarray) -> None:
-        """Re-key cached EdgeTables and fragment items into the new eid
-        space; drop any node that references a deleted edge."""
+        """Re-key cached nodes into the new eid space; drop any node that
+        references a deleted edge."""
         for key in list(self.cache):
-            entry = self.cache[key]
-            table = entry.local_edges
-            raw = table[:, 2] == EDGE_RAW
-            refs = emap[table[raw, 3]]
-            if np.any(refs < 0):
+            if not self.cache[key].remap(emap):
                 del self.cache[key]
-                continue
-            table[raw, 3] = refs
-            for _, _, _, items, _ in entry.fragments:
-                tagged = items[:, 0] == ITEM_EDGE
-                items[tagged, 1] = emap[items[tagged, 1]]
 
     # -- the Phase-1 hook ----------------------------------------------------
 
@@ -246,11 +271,7 @@ class RepairSession:
                 and np.array_equal(entry.local_edges, local_edges)
                 and np.array_equal(entry.remote_deg, deg_table)
                 and entry.known == batch._known):
-            for kind, src, dst, items, n_edges in entry.fragments:
-                # Copy: the adopted fragment outlives this session's next
-                # advance(), which remaps the cached items in place.
-                batch.new_fragment(kind, level, pid, src, dst, items.copy(),
-                                   n_edges)
+            batch.replay(entry.fragments, entry.by_fid)
             with self._lock:
                 self.hits += 1
                 self.replayed_fragments += len(entry.fragments)
@@ -264,11 +285,8 @@ class RepairSession:
             known=dict(batch._known),
             pathmap=pathmap,
             stats=stats,
-            fragments=[
-                (f.kind, f.src, f.dst,
-                 np.array(f.items, dtype=np.int64, copy=True), f.n_edges)
-                for f in batch.fragments
-            ],
+            fragments=list(batch.fragments),
+            by_fid=dict(batch._by_fid),
         )
         with self._lock:
             self.misses += 1

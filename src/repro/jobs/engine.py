@@ -68,6 +68,7 @@ from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
+from .. import native
 from ..bsp import shm
 from ..bsp import transport as frame
 from ..bsp.executors import SharedPool
@@ -1449,6 +1450,7 @@ class JobEngine:
                   "Durable journal records appended")
         m.counter("repro_shm_attaches_total",
                   "Shared-segment descriptor handouts")
+        native.record_kernel_info(m)
 
     def render_metrics(self) -> str:
         """``GET /metrics``: bridge the dict-view surfaces into gauges,

@@ -88,6 +88,7 @@ REQUIRED_FAMILIES = (
     "repro_walk_cache_events_total",
     "repro_dispatcher_respawns_total",
     "repro_breaker_open",
+    "repro_kernel_info",
 )
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")

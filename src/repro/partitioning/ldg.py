@@ -10,12 +10,22 @@ single-machine stand-in for ParHIP [34], which the paper uses offline.
 A BFS vertex order (default) substantially improves locality over the natural
 id order because neighbours tend to be placed while their cluster is still
 "open".
+
+Both scalar loops — the BFS order and the placement stream — run in the
+native kernel library (:mod:`repro.native`), reading the graph's CSR arrays
+in place; only the seeded restart permutation is drawn in NumPy. The Python
+loops below are their oracles and the fallback when no C compiler is
+available; the scores use the same float64 operations in the same order, so
+both place every vertex identically.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
+from .. import native
 from ..graph.graph import Graph
 from ..graph.partition import PartitionedGraph
 
@@ -30,13 +40,25 @@ def bfs_order(graph: Graph, seed: int = 0) -> np.ndarray:
     """
     n = graph.n_vertices
     offsets, targets, _ = graph.csr
-    rng = np.random.default_rng(seed)
-    starts = rng.permutation(n)
+    starts = np.random.default_rng(seed).permutation(n).astype(np.int64)
+    dll = native.lib()
+    if dll is None:
+        return _bfs_order_python(offsets, targets, starts)
+    order = np.empty(n, dtype=np.int64)
+    a = native.addr
+    placed = dll.bfs_order(n, a(offsets), a(targets), a(starts), a(order))
+    if placed < 0:
+        raise MemoryError("native bfs_order could not allocate")
+    assert placed == n
+    return order
+
+
+def _bfs_order_python(offsets, targets, starts) -> np.ndarray:
+    """The Python oracle for the native ``bfs_order`` (and its fallback)."""
+    n = starts.size
     seen = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
     pos = 0
-    from collections import deque
-
     for s in starts:
         if seen[s]:
             continue
@@ -99,7 +121,22 @@ def ldg_partition(
     part = np.full(n, -1, dtype=np.int64)
     load = np.zeros(n_parts, dtype=np.int64)
     offsets, targets, _ = graph.csr
+    order_arr = np.ascontiguousarray(order_arr)
+    dll = native.lib()
+    if dll is None:
+        _ldg_place_python(offsets, targets, order_arr, capacity, part, load)
+    else:
+        a = native.addr
+        if dll.ldg_partition(n, n_parts, capacity, a(offsets), a(targets),
+                             a(order_arr), a(part), a(load)) < 0:
+            raise MemoryError("native ldg_partition could not allocate")
+    return PartitionedGraph(graph, part, n_parts)
 
+
+def _ldg_place_python(offsets, targets, order_arr, capacity, part, load) -> None:
+    """The Python oracle for the native LDG placement loop (and its
+    fallback): fills ``part`` and ``load`` in place."""
+    n_parts = load.size
     for v in order_arr:
         neigh = targets[offsets[v] : offsets[v + 1]]
         placed = part[neigh]
@@ -116,4 +153,3 @@ def ldg_partition(
             best = int(np.argmin(load))
         part[v] = best
         load[best] += 1
-    return PartitionedGraph(graph, part, n_parts)

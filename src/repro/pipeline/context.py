@@ -43,7 +43,9 @@ __all__ = ["SCHEMA_VERSION", "RunConfig", "RunContext", "ExecutionReport"]
 #: v5: job orchestration — a new ``"job"`` artifact kind wraps a scenario
 #: artifact with job metadata (id, priority, state), queue/run timings and
 #: the pass history (see :func:`repro.bench.report_io.job_to_dict`).
-SCHEMA_VERSION = 5
+#: v6: run artifacts record ``kernels`` — which implementation (``"native"``
+#: | ``"python"``) each native-capable stage ran.
+SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def test_job_artifact_wraps_scenario_artifact(tmp_path, grid8):
     job.record_pass("run_scenario", 1.0, executor="serial")
 
     doc = job_to_dict(job)
-    assert doc["schema_version"] == SCHEMA_VERSION == 5
+    assert doc["schema_version"] == SCHEMA_VERSION == 6
     assert doc["artifact"] == "job"
     assert doc["job"]["id"] == "job-000042" and doc["job"]["priority"] == 2
     assert doc["timings"]["queue_latency_seconds"] == pytest.approx(0.5)

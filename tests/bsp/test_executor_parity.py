@@ -24,6 +24,7 @@ from repro.errors import UnknownExecutorError
 from repro.generate.eulerize import eulerian_rmat
 from repro.generate.synthetic import grid_city, random_eulerian
 from repro.jobs.remote import WorkerHost
+from tests.helpers import python_kernels
 
 BACKENDS = sorted(EXECUTORS)  # process, remote, serial, thread
 
@@ -153,6 +154,23 @@ def test_columnar_path_matches_seed_goldens(
         g, backend, remote_hosts, n_parts=4, seed=0, strategy=strategy,
         engine_workers=2, validate=True, verify=True,
     )
+    _assert_matches_golden(res, case)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN["cases"]))
+def test_python_kernels_match_seed_goldens(golden_graphs, case):
+    """With the native kernel library unavailable, the Python oracles
+    (Phase-1 walk, LDG partitioner) alone reproduce the seed goldens."""
+    gname, cname = case.split("/")
+    with python_kernels():
+        res = find_euler_circuit(
+            golden_graphs[gname], n_parts=4, seed=0,
+            strategy=cname.rsplit("-", 1)[0], validate=True, verify=True,
+        )
+    _assert_matches_golden(res, case)
+
+
+def _assert_matches_golden(res, case):
     ref = GOLDEN["cases"][case]
     census = sorted(
         (f.fid, f.kind, f.level, f.pid, f.src, f.dst, f.n_edges)

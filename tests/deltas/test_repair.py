@@ -145,3 +145,36 @@ def test_advance_without_capture_reports_recompute():
     report = session.advance(detour_delta(g, [1]))
     assert report["decision"] == "recompute"
     assert report["reason"] == "no capture to repair from"
+
+
+def test_replay_shares_fragments_and_advance_never_rewrites_them():
+    """Replay hands out the cached fragment records themselves; a later
+    advance re-keys into new records, so every run's store keeps the
+    bodies it adopted."""
+    g = superposed_cycles(40, seed=3)
+    cfg = RunConfig(n_parts=4)
+    session = RepairSession(threshold=1.0)
+    capture = run_scenario(g, "circuit", replace(cfg, repair=session))
+    store = capture.sub_runs[0].context.store
+    before = {f.fid: f.items.tobytes() for f in store.all_fragments()}
+    delta = detour_delta(g, [4])
+    session.advance(delta)
+    child = delta.apply(g)
+    warm = run_scenario(child, "circuit", replace(cfg, repair=session))
+    assert {f.fid: f.items.tobytes() for f in store.all_fragments()} == before
+    warm_store = warm.sub_runs[0].context.store
+    cached = {f.fid: f for node in session.cache.values()
+              for f in node.fragments}
+    # Every warm fragment is a cached record: replayed, or (dirty nodes)
+    # cached from the warm batch without a copy.
+    assert all(cached.get(f.fid) is f for f in warm_store.all_fragments())
+    assert session.report()["replayed_fragments"] > 0
+
+
+def test_repair_with_spilled_bodies_matches_recompute(tmp_path):
+    """A spill clears the store's record, not the shared fragment, so a
+    session replaying into a spilling run still emits full bodies."""
+    g = superposed_cycles(36, seed=9)
+    cfg = RunConfig(n_parts=4, spill_dir=str(tmp_path / "spill"))
+    session = _repair_vs_cold(g, detour_delta(g, [3]), cfg)
+    assert session.report()["hits"] > 0

@@ -7,6 +7,9 @@ plainly importable module (``from tests.helpers import make_eulerian_suite``).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+from repro import native
 from repro.generate.synthetic import (
     cycle_graph,
     grid_city,
@@ -16,7 +19,7 @@ from repro.generate.synthetic import (
 )
 from repro.graph.graph import Graph
 
-__all__ = ["make_eulerian_suite"]
+__all__ = ["make_eulerian_suite", "python_kernels"]
 
 
 def make_eulerian_suite() -> list[tuple[str, Graph]]:
@@ -31,3 +34,17 @@ def make_eulerian_suite() -> list[tuple[str, Graph]]:
     for seed in range(4):
         suite.append((f"rand{seed}", random_eulerian(50, 4, 16, seed=seed)))
     return suite
+
+
+@contextmanager
+def python_kernels():
+    """Make the native kernel library report "unavailable" for the body,
+    so every native-capable stage runs its Python oracle."""
+    saved = dict(native._state)
+    native._state.update(loaded=True, lib=None, path=None,
+                         error="disabled for this test")
+    try:
+        yield
+    finally:
+        native._state.clear()
+        native._state.update(saved)

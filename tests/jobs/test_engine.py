@@ -108,7 +108,7 @@ def test_durable_artifact_schema_v5(tmp_path, grid8):
         handle.result(timeout=60)
         job = engine.job(handle.job_id)
     doc = json.loads((tmp_path / "arts" / f"{job.id}.json").read_text())
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     assert doc["artifact"] == "job"
     assert doc["job"]["state"] == DONE and doc["job"]["priority"] == 3
     assert doc["timings"]["queue_latency_seconds"] >= 0.0

@@ -52,7 +52,7 @@ def test_submit_poll_result_cycle(served, tmp_path):
     assert final["queue_latency_seconds"] >= 0.0
 
     doc = client.result(sub["job_id"])
-    assert doc["artifact"] == "job" and doc["schema_version"] == 5
+    assert doc["artifact"] == "job" and doc["schema_version"] == 6
     nested = doc["scenario_result"]
     assert nested["scenario"] == "circuit"
     assert nested["sub_runs"][0]["run"]["circuit"]["verified"]

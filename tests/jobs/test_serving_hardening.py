@@ -88,7 +88,7 @@ def test_registry_soak_holds_o_retention_jobs(tmp_path, triangle):
         assert summary["id"] == first and summary["state"] == DONE
         # And the full result document too.
         doc = engine.artifact_doc(first)
-        assert doc["artifact"] == "job" and doc["schema_version"] == 5
+        assert doc["artifact"] == "job" and doc["schema_version"] == 6
         assert doc["scenario_result"]["scenario"] == "circuit"
 
 
@@ -215,7 +215,7 @@ def test_cancel_running_job_mid_scenario(tmp_path, grid8, blocker,
 
     # The schema-v5 artifact persisted the partial pass history.
     doc = json.loads((tmp_path / "arts" / f"{job.id}.json").read_text())
-    assert doc["schema_version"] == 5 and doc["job"]["state"] == CANCELLED
+    assert doc["schema_version"] == 6 and doc["job"]["state"] == CANCELLED
     passes = [p["pass"] for p in doc["pass_history"]]
     assert passes[:2] == ["load_graph", "derived_artifacts"]  # partial work
     cancelled = [p for p in doc["pass_history"] if p["pass"] == "cancelled"]
